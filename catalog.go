@@ -30,10 +30,11 @@ const (
 // path, or the lock-free staging/absorber pipeline (see engine.IngestMode).
 type IngestMode = engine.IngestMode
 
-// The available ingest modes. IngestLocked is the default; IngestAbsorber
-// trades per-op durability handoff for a lock-free caller path, absorber
-// goroutines, and group-committed oplog appends — queries drain staged
-// ops first, so reads still see the caller's own writes.
+// The available ingest modes. IngestAbsorber is the default: a lock-free
+// caller path, absorber goroutines, and group-committed oplog appends —
+// queries drain staged ops first, so reads still see the caller's own
+// writes. IngestLocked applies and logs each op synchronously under the
+// relation lock.
 const (
 	IngestLocked   = engine.IngestLocked
 	IngestAbsorber = engine.IngestAbsorber

@@ -52,3 +52,19 @@ func TestRunBadCSVDir(t *testing.T) {
 		t.Error("file-as-dir accepted")
 	}
 }
+
+func TestProfileWritesBothProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := profile(cpu, mem, func() error { return run("sec44", 1, "", 1, false) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Fatalf("%s: missing or empty profile (%v)", p, err)
+		}
+	}
+	if err := profile(filepath.Join(dir, "no", "cpu"), "", func() error { return nil }); err == nil {
+		t.Fatal("unwritable -cpuprofile path accepted")
+	}
+}

@@ -128,22 +128,18 @@ func (st *ShardedFastTugOfWar) ShardDeleteBatch(i int, vs []uint64) {
 	s.mu.Unlock()
 }
 
-// Estimate sums the shard counters and answers the query directly — no
-// Snapshot, so no regeneration of the 64 KiB-per-row hash tables that a
-// full FastTugOfWar would carry but a read-only merge never uses. Safe for
-// concurrent use with updates; the estimate reflects some linearization of
-// the concurrent operations.
+// Estimate answers from the merge of all shards. Safe for concurrent use
+// with updates; the estimate reflects some linearization of the
+// concurrent operations. The merged sketch shares the shards' hash
+// tables (hash.NewTab4 hands out one table per seed), so it costs one
+// counter array, not a table rebuild.
 func (st *ShardedFastTugOfWar) Estimate() float64 {
-	z := make([]int64, st.cfg.S1*st.cfg.S2)
-	for i := range st.shards {
-		s := &st.shards[i]
-		s.mu.Lock()
-		for k, v := range s.tw.z {
-			z[k] += v
-		}
-		s.mu.Unlock()
+	merged, err := st.Snapshot()
+	if err != nil {
+		// st.cfg was validated when the shards were built.
+		panic(err)
 	}
-	return fastEstimate(z, st.cfg.S1, st.cfg.S2, make([]float64, st.cfg.S2))
+	return merged.Estimate()
 }
 
 // Snapshot returns a plain FastTugOfWar equal to the merge of all shards.

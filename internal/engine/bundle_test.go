@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"amstrack/internal/xrand"
@@ -263,4 +264,34 @@ func TestBundleDurableImport(t *testing.T) {
 	if got := rb.SelfJoinEstimate(); got != wantSJ {
 		t.Fatalf("recovered SJ = %g, want %g", got, wantSJ)
 	}
+}
+
+// TestBundleDecodeSharesLiveTables: decoding a bundle whose hash family
+// is live in this process (here, the exporting engine's) reuses its
+// tabulation tables, so a decode allocates the counters and framing but
+// less than one 64 KiB table — not one per signature and sketch row.
+func TestBundleDecodeSharesLiveTables(t *testing.T) {
+	e, err := New(testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRelation(t, e, "orders", 1, 5000)
+	data, err := e.ExportRelation("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const decodes, table = 20, 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range decodes {
+		var b RelationBundle
+		if err := b.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / decodes; per >= table {
+		t.Fatalf("bundle decode allocates %d bytes, want < %d (one tabulation table)", per, table)
+	}
+	runtime.KeepAlive(e)
 }

@@ -2,6 +2,8 @@ package hash
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -171,4 +173,69 @@ func BenchmarkTab4Hash(b *testing.B) {
 		sink += h.Hash(uint64(i))
 	}
 	_ = sink
+}
+
+// TestTab4GoldenWords pins the table fill: interning must hand out the
+// very words the seed always produced, or every persisted sketch and
+// signature would decode under a different hash family.
+func TestTab4GoldenWords(t *testing.T) {
+	golden := []struct {
+		seed  uint64
+		words [4]uint64 // t[0], t[1000], t[5000], t[tab4Size-1]
+		hash  uint64    // Hash(0x0123456789abcdef)
+	}{
+		{0x0, [4]uint64{0x1ec4150f465d79ea, 0xb49b233be25411ef, 0x367613263de470e4, 0x7abb14b63e08f65f}, 0x535bafda713696f9},
+		{0x1, [4]uint64{0x6b9e97b589d2801b, 0x71843108c6e884e3, 0x4502b5047d9d4f15, 0x95369719263584bf}, 0x8adb896e06b184ac},
+		{0x2a, [4]uint64{0x6de30c21cb2d4cf6, 0xe2cc6dff3d5a0590, 0xf38aa8fcd4df3fe4, 0x17d87049bae44013}, 0x86270e41f7626a7},
+		{0xdeadbeefcafef00d, [4]uint64{0xd67a525dc2131ed4, 0x36879967077b46ca, 0xc018e4aea05ff1f9, 0xf9581ccd2b0f73e5}, 0xba59b41ad632b1d1},
+	}
+	for _, g := range golden {
+		h := NewTab4(g.seed)
+		got := [4]uint64{h.t[0], h.t[1000], h.t[5000], h.t[tab4Size-1]}
+		if got != g.words {
+			t.Errorf("seed %#x: table words %#x, want %#x", g.seed, got, g.words)
+		}
+		if v := h.Hash(0x0123456789abcdef); v != g.hash {
+			t.Errorf("seed %#x: Hash = %#x, want %#x", g.seed, v, g.hash)
+		}
+	}
+}
+
+// TestTab4SharedPerSeed: while a member is referenced, every NewTab4 of
+// its seed shares the same backing table; other seeds get their own.
+func TestTab4SharedPerSeed(t *testing.T) {
+	a := NewTab4(777)
+	b := NewTab4(777)
+	if a.t != b.t {
+		t.Fatal("same seed built two tables while the first was live")
+	}
+	if c := NewTab4(778); c.t == a.t {
+		t.Fatal("distinct seeds share a table")
+	}
+	runtime.KeepAlive(a)
+}
+
+// TestTab4ConcurrentIntern races same-seed constructions (run under
+// -race): every caller must get the one shared, fully filled table.
+func TestTab4ConcurrentIntern(t *testing.T) {
+	const seed, callers = 0x5eed, 8
+	out := make([]Tab4, callers)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = NewTab4(seed)
+		}()
+	}
+	wg.Wait()
+	want := out[0].Hash(0x0123456789abcdef)
+	for i, h := range out {
+		if h.t != out[0].t {
+			t.Fatalf("caller %d got a different table", i)
+		}
+		if v := h.Hash(0x0123456789abcdef); v != want {
+			t.Fatalf("caller %d: Hash = %#x, want %#x", i, v, want)
+		}
+	}
 }

@@ -42,8 +42,9 @@ import (
 // either scheme unchanged.
 //
 // A FastFamily is heavier than a Family seed-wise (rows × 64 KiB of
-// tabulation tables) but is shared by every signature built from it, so a
-// catalog of relations pays the tables once.
+// tabulation tables), but hash.NewTab4 shares one table per seed across
+// the process, so every family and decoded signature with this seed —
+// a catalog's relations, a coordinator's bundles — pays the tables once.
 type FastFamily struct {
 	buckets int
 	rows    int

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -203,6 +204,9 @@ type Router struct {
 	stop  chan struct{}
 	done  sync.WaitGroup
 	rng   *xrand.Rand // jitter; guarded by mu
+	// pscratch is partitionLocked's reusable per-row owner index and
+	// per-owner value count buffers; guarded by mu.
+	pscratch struct{ owners, counts []int }
 
 	closed bool
 }
@@ -444,21 +448,13 @@ func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 	rs.inflight += len(parts)
 	r.mu.Unlock()
 
-	type queued struct {
-		owner string
-		sb    *subBatch
-	}
-	batches := make([]queued, 0, len(parts))
-	for owner, part := range parts {
-		batches = append(batches, queued{owner, &subBatch{rel: rs, del: del, vals: part}})
-	}
-	for i, q := range batches {
-		if !r.enqueue(q.owner, q.sb) {
-			// enqueue already failed q.sb; fail the rest so the
+	for i, p := range parts {
+		if !r.enqueue(p.owner, &subBatch{rel: rs, del: del, vals: p.vals}) {
+			// enqueue already failed this part; fail the rest so the
 			// in-flight count balances and Flush waiters wake.
 			r.mu.Lock()
-			for _, rest := range batches[i+1:] {
-				r.failLocked(rest.sb, errors.New("router closed"))
+			for _, rest := range parts[i+1:] {
+				r.failLocked(&subBatch{rel: rs, del: del, vals: rest.vals}, errors.New("router closed"))
 			}
 			r.mu.Unlock()
 			return errors.New("router closed")
@@ -467,18 +463,44 @@ func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 	return nil
 }
 
-// partitionLocked splits vals (row-major) by ring owner of row[0].
-func (r *Router) partitionLocked(rs *relState, vals []uint64) (map[string][]uint64, error) {
-	parts := map[string][]uint64{}
-	for i := 0; i+rs.arity <= len(vals); i += rs.arity {
-		row := vals[i : i+rs.arity]
-		owner, ok := r.ring.Owner(row[0], r.aliveLocked)
+// part is one ring member's share of a partitioned batch.
+type part struct {
+	owner string
+	vals  []uint64
+}
+
+// partitionLocked splits vals (row-major) by ring owner of row[0], in
+// ring member order. The parts outlive the lock (they are queued to
+// senders), so they are carved from one fresh len(vals) slice; the
+// per-row owner indices and per-owner counts live in scratch the router
+// reuses under mu. A batch costs two allocations however many owners
+// it spans.
+func (r *Router) partitionLocked(rs *relState, vals []uint64) ([]part, error) {
+	members := r.ring.Members()
+	a := rs.arity
+	owners := slices.Grow(r.pscratch.owners[:0], len(vals)/a)[:len(vals)/a]
+	counts := slices.Grow(r.pscratch.counts[:0], len(members))[:len(members)]
+	r.pscratch.owners, r.pscratch.counts = owners, counts
+	clear(counts)
+	for i := range owners {
+		owner, ok := r.ring.Owner(vals[i*a], r.aliveLocked)
 		if !ok {
 			return nil, errors.New("router: no live nodes")
 		}
-		parts[owner] = append(parts[owner], row...)
+		m := sort.SearchStrings(members, owner)
+		owners[i] = m
+		counts[m] += a
 	}
-	return parts, nil
+	backing := make([]uint64, len(vals))
+	parts := make([]part, len(members))
+	for m, n := range counts {
+		parts[m] = part{owner: members[m], vals: backing[:0:n]}
+		backing = backing[n:]
+	}
+	for i, m := range owners {
+		parts[m].vals = append(parts[m].vals, vals[i*a:(i+1)*a]...)
+	}
+	return slices.DeleteFunc(parts, func(p part) bool { return len(p.vals) == 0 }), nil
 }
 
 // enqueue hands a subBatch to a node's sender, honoring shutdown.
@@ -537,9 +559,8 @@ func (r *Router) failover(sb *subBatch, cause error) {
 		case <-time.After(pause):
 		case <-r.stop:
 		}
-		for owner, part := range parts {
-			nsb := &subBatch{rel: sb.rel, del: sb.del, vals: part, attempts: attempts}
-			r.enqueue(owner, nsb)
+		for _, p := range parts {
+			r.enqueue(p.owner, &subBatch{rel: sb.rel, del: sb.del, vals: p.vals, attempts: attempts})
 		}
 	}()
 }
