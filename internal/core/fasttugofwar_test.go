@@ -375,3 +375,31 @@ func TestFastTugOfWarMemoryWords(t *testing.T) {
 		t.Fatalf("MemoryWords = %d, want 1024", ft.MemoryWords())
 	}
 }
+
+// TestFastTugOfWarConcurrentEstimate: Estimate only reads the sketch, so
+// parallel queries against one shared sketch (a coordinator's cached
+// bundle) agree and are race-free under -race.
+func TestFastTugOfWarConcurrentEstimate(t *testing.T) {
+	tw, err := NewFastTugOfWar(Config{S1: 64, S2: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(0); v < 1000; v++ {
+		tw.Insert(v % 97)
+	}
+	want := tw.Estimate()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if got := tw.Estimate(); got != want {
+					t.Errorf("concurrent Estimate = %v, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
