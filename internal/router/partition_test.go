@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -56,5 +57,35 @@ func TestPartitionCarvesOneBacking(t *testing.T) {
 		if allocs > 2 {
 			t.Fatalf("arity %d: partitionLocked allocates %.1f times per batch, want <= 2", arity, allocs)
 		}
+	}
+}
+
+// BenchmarkPartition measures the router's per-row placement cost: one
+// 512-row batch split across 3 live members, reported as ns/row.
+func BenchmarkPartition(b *testing.B) {
+	members := []string{"http://a", "http://b", "http://c"}
+	r := &Router{ring: NewRing(members, 0), nodes: map[string]*node{}}
+	for _, m := range members {
+		r.nodes[m] = &node{base: m, state: StateHealthy}
+	}
+	const rows = 512
+	for _, arity := range []int{1, 2} {
+		b.Run(fmt.Sprintf("arity=%d", arity), func(b *testing.B) {
+			rs := &relState{r: r, name: "f", arity: arity}
+			rnd := xrand.New(5)
+			vals := make([]uint64, rows*arity)
+			for i := range vals {
+				vals[i] = rnd.Uint64()
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				r.mu.Lock()
+				if _, err := r.partitionLocked(rs, vals); err != nil {
+					b.Fatal(err)
+				}
+				r.mu.Unlock()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }

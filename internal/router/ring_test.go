@@ -1,7 +1,11 @@
 package router
 
 import (
+	"cmp"
 	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"amstrack/internal/xrand"
@@ -138,5 +142,178 @@ func TestRingFailoverWalkStability(t *testing.T) {
 	}
 	if _, ok := NewRing([]string{"solo"}, 0).SuccessorOf("solo", nil); ok {
 		t.Fatal("a lone member found a successor")
+	}
+}
+
+// TestRingGoldenOwners pins placement across versions: a fleet may run
+// routers of different builds side by side, and they must agree on
+// every key's owner. The golden file holds the owners of 2,000 keys on
+// a fixed 5-member ring, as member indices, for three alive sets,
+// captured before the ring's lookup became a flat bucket index.
+func TestRingGoldenOwners(t *testing.T) {
+	raw, err := os.ReadFile("testdata/ring_owners.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewRing([]string{"http://n1:7600", "http://n2:7600", "http://n3:7600", "http://n4:7600", "http://n5:7600"}, 0)
+	down := map[string][]string{
+		"all":        nil,
+		"down=n3":    {"http://n3:7600"},
+		"down=n2,n4": {"http://n2:7600", "http://n4:7600"},
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != len(down) {
+		t.Fatalf("golden file has %d alive sets, want %d", len(lines), len(down))
+	}
+	for _, line := range lines {
+		label, want, _ := strings.Cut(line, " ")
+		dead, ok := down[label]
+		if !ok {
+			t.Fatalf("golden file names unknown alive set %q", label)
+		}
+		alive := func(m string) bool { return !slices.Contains(dead, m) }
+		rng := xrand.New(2024)
+		for i := range len(want) {
+			key := rng.Uint64()
+			owner, _ := ring.Owner(key, alive)
+			if got := slices.Index(ring.Members(), owner); got != int(want[i]-'0') {
+				t.Fatalf("%s: key %d (#%d) owned by member %d, golden says %c", label, key, i, got, want[i])
+			}
+		}
+	}
+}
+
+// unmix64 inverts xrand.Mix64, so a test can pick a key whose KeyHash
+// lands exactly on a chosen point of the circle.
+func unmix64(x uint64) uint64 {
+	unshift := func(y uint64, k uint) uint64 {
+		x := y
+		for range 64 / k {
+			x = y ^ x>>k
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 { // Newton's iteration mod 2^64
+		inv := c
+		for range 5 {
+			inv *= 2 - c*inv
+		}
+		return inv
+	}
+	x = unshift(x, 31)
+	x = unshift(x*inverse(0x94d049bb133111eb), 27)
+	x = unshift(x*inverse(0xbf58476d1ce4e5b9), 30)
+	return x - 0x9e3779b97f4a7c15
+}
+
+// refRing is the ownership rule written the slow, obvious way: every
+// point in a list sorted by (hash, member), a linear scan for the first
+// hash at or after h, then a clockwise walk that skips dead members.
+type refRing struct {
+	members []string
+	points  []refPoint
+}
+
+type refPoint struct {
+	hash   uint64
+	member int
+}
+
+func newRefRing(members []string, vnodes int) *refRing {
+	ref := &refRing{members: slices.Compact(slices.Sorted(slices.Values(members)))}
+	for m, name := range ref.members {
+		for v := range vnodes {
+			ref.points = append(ref.points, refPoint{pointHash(name, v), m})
+		}
+	}
+	slices.SortFunc(ref.points, func(a, b refPoint) int {
+		if a.hash != b.hash {
+			return cmp.Compare(a.hash, b.hash)
+		}
+		return cmp.Compare(ref.members[a.member], ref.members[b.member])
+	})
+	return ref
+}
+
+// walk is the owner of the first point from which a clockwise walk
+// finds a member that is not skip and is live (nil: every member).
+func (ref *refRing) walk(h uint64, strict bool, live []bool, skip int) (int, bool) {
+	start := 0
+	for i, p := range ref.points {
+		if p.hash > h || p.hash == h && !strict {
+			start = i
+			break
+		}
+	}
+	for i := range ref.points {
+		p := ref.points[(start+i)%len(ref.points)]
+		if p.member != skip && (live == nil || live[p.member]) {
+			return p.member, true
+		}
+	}
+	return 0, false
+}
+
+// TestRingOwnerMatchesReference checks the flat index against refRing
+// for 1–9 members at 1, 3 and 64 vnodes, under random alive subsets
+// (none alive and the nil all-alive mask included), for random keys,
+// keys hashing exactly onto a point or one either side of it, and keys
+// past the last point on the circle.
+func TestRingOwnerMatchesReference(t *testing.T) {
+	rng := xrand.New(11)
+	for n := 1; n <= 9; n++ {
+		for _, vnodes := range []int{1, 3, 64} {
+			members := make([]string, n)
+			for i := range members {
+				members[i] = fmt.Sprintf("http://m%d-%d:7600", rng.Uint64n(1000), i)
+			}
+			ring, ref := NewRing(members, vnodes), newRefRing(members, vnodes)
+			if !slices.Equal(ring.Members(), ref.members) {
+				t.Fatalf("n=%d vnodes=%d: members %v, want %v", n, vnodes, ring.Members(), ref.members)
+			}
+			hashes := []uint64{0, ^uint64(0), ref.points[len(ref.points)-1].hash + 1}
+			for _, p := range ref.points {
+				hashes = append(hashes, p.hash, p.hash+1, p.hash-1)
+			}
+			for range 200 {
+				hashes = append(hashes, rng.Uint64())
+			}
+			masks := [][]bool{nil, make([]bool, n)} // all alive, none alive
+			for range 4 {
+				live := make([]bool, n)
+				for m := range live {
+					live[m] = rng.Uint64n(3) > 0
+				}
+				masks = append(masks, live)
+			}
+			for _, live := range masks {
+				var alive func(string) bool
+				if live != nil {
+					alive = func(name string) bool { return live[slices.Index(ref.members, name)] }
+				}
+				for _, h := range hashes {
+					key := unmix64(h)
+					if KeyHash(key) != h {
+						t.Fatalf("unmix64 does not invert Mix64 at %#x", h)
+					}
+					want, wantOK := ref.walk(h, false, live, -1)
+					got, ok := ring.ownerIndex(key, live)
+					if ok != wantOK || ok && got != want {
+						t.Fatalf("n=%d vnodes=%d live=%v hash=%#x: ownerIndex = %d,%v, want %d,%v", n, vnodes, live, h, got, ok, want, wantOK)
+					}
+					owner, ok := ring.Owner(key, alive)
+					if ok != wantOK || ok && owner != ref.members[want] {
+						t.Fatalf("n=%d vnodes=%d live=%v hash=%#x: Owner = %q,%v, want %q", n, vnodes, live, h, owner, ok, ref.members[want])
+					}
+				}
+				for m, name := range ref.members {
+					want, wantOK := ref.walk(pointHash(name, 0), true, live, m)
+					succ, ok := ring.SuccessorOf(name, alive)
+					if ok != wantOK || ok && succ != ref.members[want] {
+						t.Fatalf("n=%d vnodes=%d live=%v: SuccessorOf(%q) = %q,%v, want %q,%v", n, vnodes, live, name, succ, ok, ref.members[want], wantOK)
+					}
+				}
+			}
+		}
 	}
 }

@@ -204,9 +204,13 @@ type Router struct {
 	stop  chan struct{}
 	done  sync.WaitGroup
 	rng   *xrand.Rand // jitter; guarded by mu
-	// pscratch is partitionLocked's reusable per-row owner index and
-	// per-owner value count buffers; guarded by mu.
-	pscratch struct{ owners, counts []int }
+	// pscratch is partitionLocked's reusable per-row owner index,
+	// per-owner write offset and per-member liveness buffers; guarded
+	// by mu.
+	pscratch struct {
+		owners, offs []int
+		live         []bool
+	}
 
 	closed bool
 }
@@ -470,35 +474,50 @@ type part struct {
 }
 
 // partitionLocked splits vals (row-major) by ring owner of row[0], in
-// ring member order. The parts outlive the lock (they are queued to
-// senders), so they are carved from one fresh len(vals) slice; the
-// per-row owner indices and per-owner counts live in scratch the router
-// reuses under mu. A batch costs two allocations however many owners
-// it spans.
+// ring member order. Liveness is read once per member per batch, so the
+// per-row decision is a ring lookup against a mask. The parts outlive
+// the lock (they are queued to senders), so they are carved from one
+// fresh len(vals) slice that rows are scattered into through per-owner
+// write offsets; the per-row owner indices, per-owner offsets and the
+// mask live in scratch the router reuses under mu. A batch costs two
+// allocations however many owners it spans.
 func (r *Router) partitionLocked(rs *relState, vals []uint64) ([]part, error) {
 	members := r.ring.Members()
 	a := rs.arity
 	owners := slices.Grow(r.pscratch.owners[:0], len(vals)/a)[:len(vals)/a]
-	counts := slices.Grow(r.pscratch.counts[:0], len(members))[:len(members)]
-	r.pscratch.owners, r.pscratch.counts = owners, counts
-	clear(counts)
+	offs := slices.Grow(r.pscratch.offs[:0], len(members))[:len(members)]
+	live := slices.Grow(r.pscratch.live[:0], len(members))[:len(members)]
+	r.pscratch.owners, r.pscratch.offs, r.pscratch.live = owners, offs, live
+	for m, name := range members {
+		live[m] = r.aliveLocked(name)
+	}
+	clear(offs)
 	for i := range owners {
-		owner, ok := r.ring.Owner(vals[i*a], r.aliveLocked)
+		m, ok := r.ring.ownerIndex(vals[i*a], live)
 		if !ok {
 			return nil, errors.New("router: no live nodes")
 		}
-		m := sort.SearchStrings(members, owner)
 		owners[i] = m
-		counts[m] += a
+		offs[m] += a
 	}
 	backing := make([]uint64, len(vals))
 	parts := make([]part, len(members))
-	for m, n := range counts {
-		parts[m] = part{owner: members[m], vals: backing[:0:n]}
-		backing = backing[n:]
+	start := 0
+	for m, n := range offs {
+		parts[m] = part{owner: members[m], vals: backing[start : start+n : start+n]}
+		offs[m] = start
+		start += n
 	}
-	for i, m := range owners {
-		parts[m].vals = append(parts[m].vals, vals[i*a:(i+1)*a]...)
+	if a == 1 {
+		for i, m := range owners {
+			backing[offs[m]] = vals[i]
+			offs[m]++
+		}
+	} else {
+		for i, m := range owners {
+			copy(backing[offs[m]:], vals[i*a:(i+1)*a])
+			offs[m] += a
+		}
 	}
 	return slices.DeleteFunc(parts, func(p part) bool { return len(p.vals) == 0 }), nil
 }

@@ -35,6 +35,7 @@ type session struct {
 	// Guarded by Router.mu (the session shares the router's lock: every
 	// mutation here already happens next to ledger mutations).
 	seq     uint64
+	flushed uint64         // highest seq a FLUSH frame has been written for
 	pending []pendingBatch // send order; un-acked suffix of the stream
 	dead    bool
 	buf     []byte // frame encode scratch
@@ -154,6 +155,7 @@ func (s *session) send(sb *subBatch, flushAfter bool) error {
 	s.buf = wire.AppendFrame(s.buf[:0], &f)
 	if flushAfter {
 		s.buf = wire.AppendFrame(s.buf, &wire.Frame{Kind: wire.KindFlush, Seq: seq})
+		s.flushed = seq
 	}
 	out := s.buf
 	nc := s.nc
@@ -168,12 +170,15 @@ func (s *session) send(sb *subBatch, flushAfter bool) error {
 }
 
 // requestFlush nudges the node to drain + ack now. Called under
-// Router.mu (from Flush); the write is fire-and-forget — if it fails
-// the read loop will notice the dead conn shortly.
+// Router.mu (from Flush, on every wake); the write is fire-and-forget —
+// if it fails the read loop will notice the dead conn shortly. A FLUSH
+// makes the node ack everything it has read, so one already written at
+// the current seq covers every pending batch and the nudge is skipped.
 func (s *session) requestFlush() {
-	if s.dead || len(s.pending) == 0 {
+	if s.dead || len(s.pending) == 0 || s.flushed == s.seq {
 		return
 	}
+	s.flushed = s.seq
 	f := wire.Frame{Kind: wire.KindFlush, Seq: s.seq}
 	out := wire.AppendFrame(nil, &f)
 	nc := s.nc
